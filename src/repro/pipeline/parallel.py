@@ -57,15 +57,16 @@ class ParallelTaskError(RuntimeError):
     the context is carried explicitly.
     """
 
+    #: What ``index`` counts, as the message names it.
+    label = "parallel_map task"
+
     def __init__(self, index: int, detail: str) -> None:
-        super().__init__(
-            f"parallel_map task {index} failed in a worker process:\n{detail}"
-        )
+        super().__init__(f"{self.label} {index} failed in a worker process:\n{detail}")
         self.index = index
         self.detail = detail
 
     def __reduce__(self):
-        return (ParallelTaskError, (self.index, self.detail))
+        return (type(self), (self.index, self.detail))
 
 
 class _IndexedTask:

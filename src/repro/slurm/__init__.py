@@ -11,9 +11,10 @@ the calibrated workload through this simulator on the modeled cluster:
 * :mod:`repro.slurm.scheduler` — the simulator tying it together.
 * :mod:`repro.slurm.accounting` — sacct-style log as a frame Table.
 * :mod:`repro.slurm.interchange` — partitioned cluster islands with
-  bounded-lag cross-partition state exchange (``docs/scaling.md``).
-* :mod:`repro.slurm.parallel` — the same lockstep interchange across
-  persistent worker processes, bit-identical to the serial runner.
+  bounded-lag cross-partition state exchange (``docs/scaling.md``),
+  run by one island runner in-process or across forked hosts.
+* :mod:`repro.slurm.parallel` — the forked-host transport of that
+  runner.
 """
 
 from repro.slurm.accounting import accounting_table
@@ -28,7 +29,6 @@ from repro.slurm.interchange import (
     run_partitioned,
 )
 from repro.slurm.job import ExitCondition, JobRecord, JobRequest, JobState
-from repro.slurm.parallel import ParallelPartitionedResult, ParallelPartitionedRunner
 from repro.slurm.placement import PlacementPolicy, check_spec_feasible
 from repro.slurm.queue import JobQueue
 from repro.slurm.scheduler import SchedulerConfig, SlurmSimulator
@@ -42,8 +42,6 @@ __all__ = [
     "JobRecord",
     "JobRequest",
     "JobState",
-    "ParallelPartitionedResult",
-    "ParallelPartitionedRunner",
     "PartitionedResult",
     "PartitionedRunner",
     "PlacementPolicy",

@@ -4,10 +4,10 @@ The acceptance contract of the sharding refactor, pinned end to end at
 the session level:
 
 * for a fixed partition count the build is **bit-for-bit identical**
-  whether the islands run serially in one process or fan out across
-  the worker pool;
-* ``partitions=1`` routes through the legacy serial code path and
-  reproduces the pre-sharding dataset exactly;
+  whether the islands run in this process or on forked hosts;
+* ``partitions=1`` routes through the legacy serial code path, which
+  does not depend on the worker count, and the sharded build at one
+  partition holds the same rows, records and series;
 * the merged dataset keeps the whole-machine shape (global node
   indices, one spec, job-id-ordered tables);
 * the **streaming** build — islands spill to disk, the parent k-way
@@ -28,12 +28,29 @@ from repro.workload.generator import WorkloadConfig
 # 3200 configured nodes at scale 0.02 -> 64 simulated nodes, so even a
 # 4-way split leaves islands big enough for the largest (16-GPU) jobs.
 SHARDED = dict(scale=0.02, seed=13, num_nodes=3200, partitions=4)
+TABLE_KEYS = {
+    "jobs": ("job_id",),
+    "gpu_jobs": ("job_id",),
+    "per_gpu": ("job_id", "gpu_index"),
+}
 
 
 def datasets_equal(a, b):
     assert a.jobs.to_dict() == b.jobs.to_dict()
     assert a.gpu_jobs.to_dict() == b.gpu_jobs.to_dict()
     assert a.per_gpu.to_dict() == b.per_gpu.to_dict()
+    series_equal(a, b)
+
+
+def record_set(records):
+    """Every record's schedule, order-free."""
+    return sorted(
+        (r.request.job_id, r.start_time_s, r.end_time_s, r.nodes, r.exit_condition)
+        for r in records
+    )
+
+
+def series_equal(a, b):
     assert len(a.timeseries) == len(b.timeseries)
     for series in a.timeseries:
         twin = b.timeseries.get(series.job_id, series.gpu_index)
@@ -54,13 +71,36 @@ class TestBitIdentity:
         parallel = Session(WorkloadConfig(**SHARDED), workers=4).dataset()
         datasets_equal(serial_session.dataset(), parallel)
 
-    def test_single_partition_matches_legacy(self):
+    def test_single_partition_ignores_worker_count(self):
         base = dict(SHARDED, partitions=1)
-        legacy = Session(WorkloadConfig(**base)).dataset()
-        # partitions=1 must be indistinguishable from the pre-sharding
-        # build — same workload stream, same serial schedule stage.
-        roundtrip = Session(WorkloadConfig(**base), workers=2).dataset()
-        datasets_equal(legacy, roundtrip)
+        serial = Session(WorkloadConfig(**base)).dataset()
+        # The K=1 build must not depend on the worker count.
+        pooled = Session(WorkloadConfig(**base), workers=2).dataset()
+        datasets_equal(serial, pooled)
+
+    def test_sharded_single_partition_matches_legacy(self):
+        """``build_sharded_dataset`` at K=1 against the legacy inline build.
+
+        Every table holds the same rows once sorted by key, the records
+        and the series are the same.  Row order is the one difference:
+        legacy tables are in completion order, sharded ones in job-id
+        order.  It is the only thing that blocks routing K=1 through the
+        sharded build.
+        """
+        from repro.pipeline.instrument import PipelineInstrumentation
+        from repro.pipeline.session import _build_dataset
+        from repro.pipeline.shard import build_sharded_dataset
+
+        config = WorkloadConfig(**dict(SHARDED, partitions=1))
+        legacy = _build_dataset(config, None, PipelineInstrumentation())
+        sharded = build_sharded_dataset(config, None, PipelineInstrumentation())
+        for name, keys in TABLE_KEYS.items():
+            assert (
+                getattr(sharded, name).sort_by(*keys).to_dict()
+                == getattr(legacy, name).sort_by(*keys).to_dict()
+            ), name
+        assert record_set(sharded.records) == record_set(legacy.records)
+        series_equal(legacy, sharded)
 
 
 class TestMergedShape:

@@ -7,11 +7,12 @@ import pytest
 import repro
 import repro.frame
 import repro.plot
+import repro.slurm.interchange
 
 
 @pytest.mark.parametrize(
     "module",
-    [repro.frame, repro.plot],
+    [repro.frame, repro.plot, repro.slurm.interchange],
     ids=lambda m: m.__name__,
 )
 def test_module_doctests(module):
