@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.streaming import new_sketch
 from repro.errors import AnalysisError
 
 
@@ -44,7 +45,8 @@ class Ecdf:
         return 1.0 - float(self.evaluate(threshold))
 
     def median(self) -> float:
-        return self.quantile(0.5)
+        """``np.median`` of the samples (see :meth:`QuantileSketch.median`)."""
+        return float(np.median(self.values))
 
 
 def ecdf(values) -> Ecdf:
@@ -58,60 +60,45 @@ def ecdf(values) -> Ecdf:
     return Ecdf(ordered, probs)
 
 
-def column_ecdf(source, name: str, *, transform=None, k: int | None = None):
-    """The distribution of one column, exact or sketched by source type.
+def column_ecdf(source, name: str, *, transform=None):
+    """The distribution of one column, one fold over ``source.chunks()``.
 
-    For a materialized :class:`~repro.frame.Table` this is the exact
-    :func:`ecdf` of the column; for a
-    :class:`~repro.frame.ChunkedTable` it is a one-pass
-    :class:`~repro.frame.QuantileSketch` (same query surface:
-    ``values``/``probabilities``/``evaluate``/``quantile``/``median``/
-    ``fraction_above``), so figure code can consume either without
-    branching.  ``transform`` is applied vectorized per chunk (e.g.
-    seconds to minutes); non-finite samples are dropped on both paths.
+    Returns a :class:`~repro.frame.QuantileSketch` from
+    :func:`~repro.analysis.streaming.new_sketch` — exact on a
+    materialized Table, rank-bounded on a chunk stream — whose query
+    surface (``values``/``probabilities``/``evaluate``/``quantile``/
+    ``median``/``fraction_above``) matches :class:`Ecdf`, so figure
+    code consumes either without branching.  ``transform`` is applied
+    vectorized per chunk (e.g. seconds to minutes); non-finite samples
+    are dropped.
     """
-    from repro.frame import DEFAULT_SKETCH_K, ChunkedTable, QuantileSketch
-
-    if isinstance(source, ChunkedTable):
-        sketch = QuantileSketch(k=DEFAULT_SKETCH_K if k is None else k)
-        for chunk in source.chunks():
-            arr = np.asarray(chunk.column(name), dtype=float)
-            if transform is not None:
-                arr = transform(arr)
-            sketch.update(arr)
-        if sketch.num_samples == 0:
-            raise AnalysisError("cannot build an ECDF from zero finite samples")
-        return sketch
-    arr = np.asarray(source.column(name), dtype=float)
-    if transform is not None:
-        arr = transform(arr)
-    return ecdf(arr)
+    sketch = new_sketch(source)
+    for chunk in source.chunks():
+        arr = np.asarray(chunk.column(name), dtype=float)
+        if transform is not None:
+            arr = transform(arr)
+        sketch.update(arr)
+    if sketch.num_samples == 0:
+        raise AnalysisError("cannot build an ECDF from zero finite samples")
+    return sketch
 
 
 def column_fraction(source, name: str, predicate) -> float:
     """The exact mean of a boolean predicate over one column.
 
-    ``predicate`` maps a float array to a boolean array.  Streaming a
-    :class:`~repro.frame.ChunkedTable` accumulates integer true/total
-    counts, so the result is bit-for-bit the materialized
-    ``predicate(column).mean()``.
+    ``predicate`` maps a float array to a boolean array; the fold
+    accumulates integer true/total counts, so the result is exact on
+    any chunking.
     """
-    from repro.frame import ChunkedTable
-
-    if isinstance(source, ChunkedTable):
-        true_count = 0
-        total = 0
-        for chunk in source.chunks():
-            hits = np.asarray(predicate(np.asarray(chunk.column(name), dtype=float)))
-            true_count += int(hits.sum())
-            total += int(hits.size)
-        if total == 0:
-            raise AnalysisError("cannot take a fraction of zero samples")
-        return true_count / total
-    hits = np.asarray(predicate(np.asarray(source.column(name), dtype=float)))
-    if hits.size == 0:
+    true_count = 0
+    total = 0
+    for chunk in source.chunks():
+        hits = np.asarray(predicate(np.asarray(chunk.column(name), dtype=float)))
+        true_count += int(hits.sum())
+        total += int(hits.size)
+    if total == 0:
         raise AnalysisError("cannot take a fraction of zero samples")
-    return float(hits.mean())
+    return true_count / total
 
 
 def coefficient_of_variation(values) -> float:

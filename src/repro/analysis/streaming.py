@@ -1,16 +1,27 @@
-"""Shared primitives for the streaming analysis kernels.
+"""Shared primitives for the analysis kernels' chunk folds.
 
-Every heavy kernel in :mod:`repro.analysis` follows the
-exact-or-sketch contract that :func:`repro.analysis.stats.column_ecdf`
-established: a materialized :class:`~repro.frame.Table` takes the
-original vectorized path, while a :class:`~repro.frame.ChunkedTable`
-folds the chunk stream with bounded state.  Integer counts (and the
-shares derived from them) stay bit-identical to the materialized
-result; float accumulations are deterministic for a fixed chunking but
-may differ in the last ULP from a single-pass sum; quantiles come from
-a rank-bounded :class:`~repro.frame.QuantileSketch` (exact until the
-sketch first compacts).  This module holds the pieces those folds
-share so each kernel only contributes its own arithmetic.
+Every heavy kernel in :mod:`repro.analysis` is one fold over
+``source.chunks()``.  A :class:`~repro.frame.ChunkedTable` streams its
+chunks with bounded state; a materialized :class:`~repro.frame.Table`
+is a one-chunk stream (``Table.chunks()`` yields the table itself), so
+the same body serves both and there is no second, materialized copy
+of any kernel's arithmetic.
+
+The contract a fold keeps:
+
+* integer counts (and the shares derived from them) are exact on any
+  chunking;
+* float sums fold chunk partials, deterministic for a fixed chunking
+  but possibly a last-ULP away from a single-pass numpy sum;
+* quantiles come from a :class:`~repro.frame.QuantileSketch` made by
+  :func:`new_sketch`.  A Table is exact because its sketch covers its
+  rows: the capacity is at least the row count, so the sketch never
+  compacts and answers ``np.quantile``/``np.median`` bit for bit.  A
+  chunk stream gets the default bounded sketch (exact until it first
+  compacts, rank-bounded after).
+
+:func:`new_sketch` and :func:`ordered_chunks` are the only two places
+that look at which representation a kernel was handed.
 """
 
 from __future__ import annotations
@@ -19,34 +30,57 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.frame import Table, concat_tables
+from repro.errors import AnalysisError
+from repro.frame import DEFAULT_SKETCH_K, ChunkedTable, QuantileSketch, Table, concat_tables
 
 
-def is_chunked(source: Any) -> bool:
-    """Whether ``source`` is a chunk stream (vs a materialized Table)."""
-    from repro.frame import ChunkedTable
+def new_sketch(source: Any) -> QuantileSketch:
+    """A quantile sketch for values drawn from ``source``'s rows.
 
-    return isinstance(source, ChunkedTable)
+    Sized to hold every row of a materialized Table (so it stays
+    exact); the default bounded sketch for a chunk stream.
+    """
+    if isinstance(source, ChunkedTable):
+        return QuantileSketch()
+    return QuantileSketch(k=max(DEFAULT_SKETCH_K, source.num_rows))
 
 
-def iter_sorted_groups(source: Any, key: str) -> Iterator[tuple[Any, Table]]:
-    """Yield ``(key_value, group)`` from a ``key``-sorted chunk stream.
+def ordered_chunks(source: Any, key: str) -> Iterator[Table]:
+    """The chunks of ``source`` in ascending ``key`` order.
 
-    The stream must arrive grouped by ``key`` (e.g. the pipeline's
-    ``per_gpu`` table, sorted by ``(job_id, gpu_index)``); consecutive
-    equal keys form one group.  Exactly one group is resident at a time
-    beyond the chunk being read, so a per-group fold costs O(largest
-    group) memory rather than O(rows).  Groups straddling chunk
-    boundaries are stitched back together with ``concat_tables``, which
-    keeps each group's row order — and therefore any per-group
-    arithmetic — bit-identical to iterating the materialized
-    ``group_by(key)``.
+    A Table is stable-sorted once.  A chunk stream cannot be sorted in
+    bounded memory, so it must already arrive in ``key`` order (the
+    pipeline's job streams are in ``job_id`` order, which is also
+    submit order); that is verified chunk by chunk.
+    """
+    if not isinstance(source, ChunkedTable):
+        if source.num_rows:
+            yield source.sort_by(key)
+        return
+    last = -np.inf
+    for chunk in source.chunks():
+        values = np.asarray(chunk[key], dtype=float)
+        if values[0] < last or np.any(np.diff(values) < 0):
+            raise AnalysisError(f"this fold needs a chunk stream sorted by {key!r}")
+        last = values[-1]
+        yield chunk
+
+
+def iter_sorted_groups(chunks: Any, key: str) -> Iterator[tuple[Any, Table]]:
+    """Yield ``(key_value, group)`` from ``key``-sorted chunks.
+
+    The chunks must arrive grouped by ``key`` (e.g. from
+    :func:`ordered_chunks`); consecutive equal keys form one group.
+    Exactly one group is resident at a time beyond the chunk being
+    read, so a per-group fold costs O(largest group) memory rather
+    than O(rows).  Groups straddling chunk boundaries are stitched back
+    together with ``concat_tables``, which keeps each group's row
+    order — and therefore any per-group arithmetic — independent of
+    the chunking.
     """
     pending_key: Any = None
     parts: list[Table] = []
-    for chunk in source.chunks():
-        if chunk.num_rows == 0:
-            continue
+    for chunk in chunks:
         keys = np.asarray(chunk.column(key))
         change = np.nonzero(keys[1:] != keys[:-1])[0]
         starts = np.concatenate(([0], change + 1))

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.errors import AnalysisError
 from repro.frame import Table
+from repro.slurm.accounting import accounting_table
 
 SECONDS_PER_DAY = 86400.0
 
@@ -49,116 +50,66 @@ class OccupancyTimeline:
         return self.peak / self.capacity if self.capacity > 0 else 0.0
 
 
-def _interval_counts(starts, ends, weights, grid) -> np.ndarray:
-    """Weighted count of intervals covering each grid point.
-
-    Uses the +w at start / -w at end sweep, evaluated on the grid:
-    O((n + g) log n) instead of O(n*g).
-    """
-    events = np.concatenate([starts, ends])
-    deltas = np.concatenate([weights, -weights])
-    order = np.argsort(events, kind="stable")
-    events = events[order]
-    cumulative = np.cumsum(deltas[order])
-    idx = np.searchsorted(events, grid, side="right") - 1
-    out = np.where(idx >= 0, cumulative[np.clip(idx, 0, None)], 0.0)
-    return np.maximum(out, 0.0)
-
-
 def gpu_occupancy(records, capacity: int, num_samples: int = 2000) -> OccupancyTimeline:
-    """Concurrent GPUs in use, sampled on an even grid."""
-    gpu_records = [r for r in records if r.request.num_gpus > 0]
-    if not gpu_records:
-        raise AnalysisError("no GPU jobs in records")
-    starts = np.asarray([r.start_time_s for r in gpu_records])
-    ends = np.asarray([r.end_time_s for r in gpu_records])
-    weights = np.asarray([float(r.request.num_gpus) for r in gpu_records])
-    grid = np.linspace(starts.min(), ends.max(), num_samples)
-    occupancy = _interval_counts(starts, ends, weights, grid)
-    return OccupancyTimeline(times_s=grid, occupancy=occupancy, capacity=float(capacity))
+    """Concurrent GPUs in use, sampled on an even grid.
+
+    Reads the records' accounting table through
+    :func:`gpu_occupancy_from_jobs`.
+    """
+    return gpu_occupancy_from_jobs(accounting_table(records), capacity, num_samples)
 
 
 def gpu_occupancy_from_jobs(jobs, capacity: int, num_samples: int = 2000) -> OccupancyTimeline:
-    """Concurrent GPUs in use, read from a jobs table instead of records.
+    """Concurrent GPUs in use, read from a jobs table.
 
     Accepts the materialized ``dataset.jobs`` Table or a chunked
     stream of it (a streaming build carries no record list), using the
-    ``start_time_s``/``end_time_s``/``num_gpus`` columns.  The sweep
-    in :func:`_interval_counts` is separable per job — occupancy(g) =
-    sum of weights started at or before g minus weights ended at or
-    before g — so a chunk stream folds two sorted-prefix sums per
-    chunk onto the grid (one extra pass first for the grid extent).
-    GPU counts are integer-valued floats, so the streamed occupancy is
-    bit-identical to the materialized sweep.
+    ``start_time_s``/``end_time_s``/``num_gpus`` columns.  The sweep is
+    separable per job — occupancy(g) = weights started at or before g
+    minus weights ended at or before g — so each chunk adds two
+    sorted-prefix sums onto the grid (after one pass for the grid
+    extent).  GPU counts are integer-valued, so the occupancy is exact
+    on any chunking.
     """
-    from repro.analysis.streaming import is_chunked
-
-    if is_chunked(jobs):
-        gpu_jobs = jobs.filter(lambda t: np.asarray(t["num_gpus"]) > 0)
-        lo, hi, any_rows = math.inf, -math.inf, False
-        for chunk in gpu_jobs.chunks():
-            if chunk.num_rows == 0:
-                continue
-            any_rows = True
-            lo = min(lo, float(np.min(np.asarray(chunk["start_time_s"], dtype=float))))
-            hi = max(hi, float(np.max(np.asarray(chunk["end_time_s"], dtype=float))))
-        if not any_rows:
-            raise AnalysisError("no GPU jobs in records")
-        grid = np.linspace(lo, hi, num_samples)
-        occupancy = np.zeros(num_samples)
-        for chunk in gpu_jobs.chunks():
-            weights = np.asarray(chunk["num_gpus"], dtype=float)
-            for column, sign in (("start_time_s", 1.0), ("end_time_s", -1.0)):
-                events = np.asarray(chunk[column], dtype=float)
-                order = np.argsort(events, kind="stable")
-                cumulative = np.cumsum(weights[order] * sign)
-                idx = np.searchsorted(events[order], grid, side="right")
-                occupancy += np.where(idx > 0, cumulative[np.clip(idx - 1, 0, None)], 0.0)
-        occupancy = np.maximum(occupancy, 0.0)
-        return OccupancyTimeline(times_s=grid, occupancy=occupancy, capacity=float(capacity))
-
-    mask = np.asarray(jobs["num_gpus"]) > 0
-    if not mask.any():
+    gpu_jobs = jobs.filter(lambda t: np.asarray(t["num_gpus"]) > 0)
+    lo, hi, any_rows = math.inf, -math.inf, False
+    for chunk in gpu_jobs.chunks():
+        any_rows = True
+        lo = min(lo, float(np.min(np.asarray(chunk["start_time_s"], dtype=float))))
+        hi = max(hi, float(np.max(np.asarray(chunk["end_time_s"], dtype=float))))
+    if not any_rows:
         raise AnalysisError("no GPU jobs in records")
-    starts = np.asarray(jobs["start_time_s"], dtype=float)[mask]
-    ends = np.asarray(jobs["end_time_s"], dtype=float)[mask]
-    weights = np.asarray(jobs["num_gpus"], dtype=float)[mask]
-    grid = np.linspace(starts.min(), ends.max(), num_samples)
-    occupancy = _interval_counts(starts, ends, weights, grid)
+    grid = np.linspace(lo, hi, num_samples)
+    occupancy = np.zeros(num_samples)
+    for chunk in gpu_jobs.chunks():
+        weights = np.asarray(chunk["num_gpus"], dtype=float)
+        for column, sign in (("start_time_s", 1.0), ("end_time_s", -1.0)):
+            events = np.asarray(chunk[column], dtype=float)
+            order = np.argsort(events, kind="stable")
+            cumulative = np.cumsum(weights[order] * sign)
+            idx = np.searchsorted(events[order], grid, side="right")
+            occupancy += np.where(idx > 0, cumulative[np.clip(idx - 1, 0, None)], 0.0)
+    occupancy = np.maximum(occupancy, 0.0)
     return OccupancyTimeline(times_s=grid, occupancy=occupancy, capacity=float(capacity))
 
 
 def daily_gpu_hours(records) -> Table:
     """GPU hours consumed per study day (start-day attribution).
 
-    A grouped segment-sum over the start days; ``reduceat`` adds each
-    day's hours in record order, exactly like the dict accumulator it
-    replaced.
+    Reads the records' accounting table through
+    :func:`daily_gpu_hours_from_jobs`; each day's hours add in record
+    order.
     """
-    gpu_records = [r for r in records if r.request.num_gpus > 0]
-    if not gpu_records:
-        raise AnalysisError("no GPU jobs in records")
-    per_job = Table(
-        {
-            "day": np.asarray(
-                [int(r.start_time_s // SECONDS_PER_DAY) for r in gpu_records],
-                dtype=np.int64,
-            ),
-            "gpu_hours": np.asarray([r.gpu_hours for r in gpu_records], dtype=float),
-        }
-    )
-    daily = per_job.group_by("day").aggregate({"gpu_hours": "sum"})
-    return daily.rename({"gpu_hours_sum": "gpu_hours"}).sort_by("day")
+    return daily_gpu_hours_from_jobs(accounting_table(records))
 
 
 def daily_gpu_hours_from_jobs(jobs) -> Table:
     """GPU hours per study day, read from a jobs table (or chunk stream).
 
-    The jobs-table counterpart of :func:`daily_gpu_hours` for builds
-    that never materialize their records: the day column is computed
-    per chunk and the grouped sum streams with O(days) state.
+    The day column is computed per chunk and the grouped sum folds
+    with O(days) state, for builds that never materialize their
+    records.
     """
-    from repro.analysis.streaming import is_chunked
 
     def day_table(table: Table) -> Table:
         return Table(
@@ -171,12 +122,7 @@ def daily_gpu_hours_from_jobs(jobs) -> Table:
         )
 
     gpu_jobs = jobs.filter(lambda t: np.asarray(t["num_gpus"]) > 0)
-    if is_chunked(jobs):
-        per_job = gpu_jobs.map_chunks(day_table, preserves_rows=True)
-    else:
-        if gpu_jobs.num_rows == 0:
-            raise AnalysisError("no GPU jobs in records")
-        per_job = day_table(gpu_jobs)
+    per_job = gpu_jobs.map_chunks(day_table, preserves_rows=True)
     daily = per_job.group_by("day").aggregate({"gpu_hours": "sum"})
     if daily.num_rows == 0:
         raise AnalysisError("no GPU jobs in records")

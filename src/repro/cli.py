@@ -339,6 +339,7 @@ PERF_SMOKE = (
     ("dataset-build", "benchmarks/bench_dataset_build.py"),
     ("stream", "benchmarks/bench_stream.py"),
     ("scale", "benchmarks/bench_scale.py"),
+    ("figures", "benchmarks/bench_figures.py"),
 )
 
 

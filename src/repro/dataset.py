@@ -62,13 +62,8 @@ class SupercloudDataset:
 
     @property
     def num_users(self) -> int:
-        from repro.frame import ChunkedTable
-
-        gpu_jobs = self.gpu_jobs
-        if isinstance(gpu_jobs, ChunkedTable):
-            # One streaming pass, O(distinct users) state.
-            return gpu_jobs.value_counts("user").num_rows
-        return len(set(gpu_jobs["user"]))
+        # One pass, O(distinct users) state, on either representation.
+        return self.gpu_jobs.value_counts("user").num_rows
 
     def describe(self) -> str:
         """Short textual summary mirroring the paper's Sec. II stats."""

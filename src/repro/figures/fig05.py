@@ -6,8 +6,7 @@ streaming-safe verbs — ``value_counts`` for the interface shares,
 per-interface distributions — so it accepts either the materialized
 dataset or ``dataset.streaming_view()``.  Shares are integer-count
 ratios and therefore bit-identical on both paths; the CDFs are exact
-on a :class:`~repro.frame.Table` and one-pass quantile sketches on a
-:class:`~repro.frame.ChunkedTable`.
+on a materialized table and rank-bounded sketches on a chunk stream.
 """
 
 from __future__ import annotations

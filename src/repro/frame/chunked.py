@@ -614,11 +614,7 @@ def concat_chunked(sources: Iterable[Table | ChunkedTable]) -> ChunkedTable:
 
     def produce() -> Iterator[Table]:
         for part in parts:
-            if isinstance(part, Table):
-                if part.num_rows:
-                    yield part
-            else:
-                yield from part.chunks()
+            yield from part.chunks()
 
     known: int | None = 0
     for part in parts:

@@ -265,6 +265,13 @@ class QuantileSketch:
         return float(values[min(idx, values.size - 1)])
 
     def median(self) -> float:
+        """The 0.5 quantile; ``np.median`` bit for bit while exact.
+
+        ``np.median`` averages the two middle values, which
+        ``np.quantile(..., 0.5)``'s interpolation can miss by one ULP.
+        """
+        if self._count and self.rank_error_bound() == 0:
+            return float(np.median(self._materialized()[0]))
         return self.quantile(0.5)
 
     def fraction_above(self, threshold: float) -> float:

@@ -94,6 +94,20 @@ class Table:
             adaptive_chunk_rows(self.row_nbytes) if chunk_rows is None else chunk_rows,
         )
 
+    def chunks(self) -> Iterator["Table"]:
+        """Iterate this table as a one-chunk stream.
+
+        The :class:`~repro.frame.ChunkedTable` protocol, so a fold over
+        ``source.chunks()`` accepts either representation; like a
+        stream, an empty table yields no chunk.
+        """
+        if self._length:
+            yield self
+
+    def map_chunks(self, fn: Callable[["Table"], "Table"], *, preserves_rows: bool = False) -> "Table":
+        """Apply ``fn`` to the one chunk (see :meth:`ChunkedTable.map_chunks`)."""
+        return fn(self)
+
     @property
     def row_nbytes(self) -> float:
         """Estimated bytes one row occupies across all columns.
