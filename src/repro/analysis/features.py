@@ -160,23 +160,37 @@ def evaluate_predictor(
         raise AnalysisError("horizon must be positive")
     mask = activity_mask(series)
     times = series.times_s
+    if np.any(np.diff(times) < 0):
+        raise AnalysisError(f"series for job {series.job_id} has decreasing sample times")
     step = float(np.median(np.diff(times))) if len(times) > 1 else 1.0
+    if step <= 0:
+        raise AnalysisError(f"series for job {series.job_id} has no typical sampling step")
     offset = max(int(round(horizon_s / step)), 1)
     last = len(times) - offset
     if last < 2:
         raise AnalysisError(
             f"series for job {series.job_id} shorter than the prediction horizon"
         )
-    correct = 0
-    total = 0
-    idle_truth = 0
-    for index in range(0, last, stride):
-        probability = predictor.idle_probability(times, mask, index)
-        predicted_idle = probability >= 0.5
-        actual_idle = not mask[index + offset]
-        correct += int(predicted_idle == actual_idle)
-        idle_truth += int(actual_idle)
-        total += 1
+    # One pass over every prediction point: the window
+    # [now - window_s, now] is a searchsorted span of the sorted times
+    # and its active count a difference of one integer prefix sum, so
+    # count / width is bit for bit ``mask[window].mean()`` in
+    # IdlePhasePredictor.idle_probability.
+    index = np.arange(0, last, stride)
+    now = times[index]
+    lo = np.searchsorted(times, now - predictor.window_s, side="left")
+    hi = np.searchsorted(times, now, side="right")
+    active_count = np.concatenate(([0], np.cumsum(mask, dtype=np.int64)))
+    duty_idle = 1.0 - (active_count[hi] - active_count[lo]) / (hi - lo)
+    current_idle = np.where(mask[index], 0.0, 1.0)
+    probability = (
+        predictor.persistence_weight * current_idle
+        + (1.0 - predictor.persistence_weight) * duty_idle
+    )
+    actual_idle = ~mask[index + offset]
+    correct = int(np.count_nonzero((probability >= 0.5) == actual_idle))
+    idle_truth = int(np.count_nonzero(actual_idle))
+    total = int(index.size)
     base_rate = idle_truth / total
     return PredictorScore(
         job_id=series.job_id,

@@ -134,10 +134,11 @@ def multi_gpu_cov(
     groups = iter_sorted_groups(ordered_chunks(per_gpu, "job_id"), "job_id")
     empty = True
     results = []
-    for job_key, group in groups:
+    for job_key, rows in groups:
         empty = False
-        if group.num_rows < 2:
+        if rows.num_rows < 2:
             continue
+        group = rows.table()
         sm = np.asarray(group["sm_mean"], dtype=float)
         mem = np.asarray(group["mem_bw_mean"], dtype=float)
         active = (sm > idle_threshold) | (mem > idle_threshold)

@@ -7,6 +7,7 @@ here once and reused by every figure module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,11 +121,11 @@ def coefficient_of_variation(values) -> float:
 
 
 def spearman(x, y) -> tuple[float, float]:
-    """Spearman rank correlation and p-value.
+    """Spearman rank correlation and two-sided p-value.
 
     Implemented directly (rank + Pearson + t-test) so the library has
-    no hidden dependency on scipy.stats for its core path; scipy is
-    used only for the p-value's t CDF.
+    no dependency on scipy: the p-value's Student-t tail is
+    :func:`_student_t_sf`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -138,14 +139,67 @@ def spearman(x, y) -> tuple[float, float]:
     rx = _rank(x)
     ry = _rank(y)
     rho = _pearson(rx, ry)
-    # t-distribution approximation for the p-value
-    from scipy import stats as _scipy_stats
-
     if abs(rho) >= 1.0:
         return float(np.sign(rho)), 0.0
+    # t-distribution approximation for the p-value
     t = rho * np.sqrt((n - 2) / (1.0 - rho * rho))
-    p = 2.0 * float(_scipy_stats.t.sf(abs(t), df=n - 2))
+    p = 2.0 * _student_t_sf(abs(float(t)), n - 2)
     return float(rho), p
+
+
+def _student_t_sf(t: float, df: float) -> float:
+    """P(T > t) for Student's t with ``df`` degrees of freedom.
+
+    For ``t >= 0`` the tail is ``I_x(df/2, 1/2) / 2`` with
+    ``x = df / (df + t^2)``, the regularized incomplete beta function.
+    """
+    if t < 0:
+        return 1.0 - _student_t_sf(-t, df)
+    if t == 0:
+        return 0.5
+    t2 = t * t
+    x = df / (df + t2)
+    # 1 - x computed directly: it is the small side when t is small
+    return 0.5 * _regularized_beta(0.5 * df, 0.5, x, t2 / (df + t2))
+
+
+def _regularized_beta(a: float, b: float, x: float, y: float) -> float:
+    """``I_x(a, b)`` for ``0 < x < 1`` with ``y = 1 - x`` passed exactly.
+
+    The continued fraction converges fast for ``x < (a + 1) / (a + b + 2)``;
+    above that the symmetry ``I_x(a, b) = 1 - I_y(b, a)`` applies.
+    """
+    log_front = (
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        + a * math.log(x) + b * math.log(y)
+    )
+    front = math.exp(log_front)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_continued_fraction(a, b, x) / a
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
+
+
+def _beta_continued_fraction(a: float, b: float, x: float) -> float:
+    """The incomplete-beta continued fraction, by the modified Lentz method."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 - (a + b) * x / (a + 1.0)
+    d = 1.0 / (d if abs(d) > tiny else tiny)
+    h = d
+    for m in range(1, 100_000):
+        m2 = 2 * m
+        for numerator in (
+            m * (b - m) * x / ((a + m2 - 1.0) * (a + m2)),
+            -(a + m) * (a + b + m) * x / ((a + m2) * (a + m2 + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise AnalysisError(f"incomplete beta did not converge (a={a}, b={b}, x={x})")
 
 
 def _rank(values: np.ndarray) -> np.ndarray:

@@ -66,33 +66,59 @@ def ordered_chunks(source: Any, key: str) -> Iterator[Table]:
         yield chunk
 
 
-def iter_sorted_groups(chunks: Any, key: str) -> Iterator[tuple[Any, Table]]:
+class SortedGroup:
+    """One key's rows, held as ``(chunk, start, end)`` spans.
+
+    ``num_rows`` is known without copying a row; :meth:`table` builds
+    the group's Table on first use, so a fold that skips a group (say,
+    every one-row group) never pays for it.
+    """
+
+    __slots__ = ("num_rows", "_spans", "_table")
+
+    def __init__(self) -> None:
+        self.num_rows = 0
+        self._spans: list[tuple[Table, int, int]] = []
+        self._table: Table | None = None
+
+    def _extend(self, chunk: Table, start: int, end: int) -> None:
+        self._spans.append((chunk, start, end))
+        self.num_rows += end - start
+
+    def table(self) -> Table:
+        """The group's rows as one Table, in arrival order."""
+        if self._table is None:
+            parts = [chunk.take(np.arange(start, end)) for chunk, start, end in self._spans]
+            self._table = parts[0] if len(parts) == 1 else concat_tables(parts)
+            self._spans = []
+        return self._table
+
+
+def iter_sorted_groups(chunks: Any, key: str) -> Iterator[tuple[Any, SortedGroup]]:
     """Yield ``(key_value, group)`` from ``key``-sorted chunks.
 
     The chunks must arrive grouped by ``key`` (e.g. from
-    :func:`ordered_chunks`); consecutive equal keys form one group.
-    Exactly one group is resident at a time beyond the chunk being
-    read, so a per-group fold costs O(largest group) memory rather
-    than O(rows).  Groups straddling chunk boundaries are stitched back
-    together with ``concat_tables``, which keeps each group's row
-    order — and therefore any per-group arithmetic — independent of
-    the chunking.
+    :func:`ordered_chunks`); consecutive equal keys form one
+    :class:`SortedGroup`.  Only the current group's chunks are held
+    beyond the chunk being read, so a per-group fold costs O(largest
+    group) memory rather than O(rows).  Groups straddling chunk
+    boundaries are stitched back together with ``concat_tables``, which
+    keeps each group's row order — and therefore any per-group
+    arithmetic — independent of the chunking.
     """
     pending_key: Any = None
-    parts: list[Table] = []
+    group: SortedGroup | None = None
     for chunk in chunks:
         keys = np.asarray(chunk.column(key))
         change = np.nonzero(keys[1:] != keys[:-1])[0]
         starts = np.concatenate(([0], change + 1))
         ends = np.concatenate((change + 1, [len(keys)]))
-        for start, end in zip(starts, ends):
-            sub = chunk.take(np.arange(start, end))
+        for start, end in zip(starts.tolist(), ends.tolist()):
             value = keys[start]
-            if parts and value == pending_key:
-                parts.append(sub)
-                continue
-            if parts:
-                yield pending_key, parts[0] if len(parts) == 1 else concat_tables(parts)
-            pending_key, parts = value, [sub]
-    if parts:
-        yield pending_key, parts[0] if len(parts) == 1 else concat_tables(parts)
+            if group is None or value != pending_key:
+                if group is not None:
+                    yield pending_key, group
+                pending_key, group = value, SortedGroup()
+            group._extend(chunk, start, end)
+    if group is not None:
+        yield pending_key, group

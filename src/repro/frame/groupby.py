@@ -88,8 +88,13 @@ class GroupBy:
             raise FrameError("group_by requires at least one key column")
         self._table = table
         self._keys = tuple(keys)
+        # An empty table, like an empty stream, has no groups whatever
+        # its columns; only a table with rows must carry every key.
         self._fact: Factorization = factorize_columns(
-            [table.column(k) for k in self._keys]
+            [
+                table.column(k) if table.num_rows or k in table else np.empty(0)
+                for k in self._keys
+            ]
         )
         self._key_tuples: list[tuple[Any, ...]] | None = None
         self._lookup: dict[tuple[Any, ...], int] | None = None
@@ -101,6 +106,8 @@ class GroupBy:
 
     def keys(self) -> list[tuple[Any, ...]]:
         """Group keys in first-seen order."""
+        if self._fact.num_groups == 0:
+            return []
         if self._key_tuples is None:
             reps = [
                 self._table.column(k)[self._fact.first_rows] for k in self._keys

@@ -105,8 +105,12 @@ class Table:
             yield self
 
     def map_chunks(self, fn: Callable[["Table"], "Table"], *, preserves_rows: bool = False) -> "Table":
-        """Apply ``fn`` to the one chunk (see :meth:`ChunkedTable.map_chunks`)."""
-        return fn(self)
+        """Apply ``fn`` to the one chunk (see :meth:`ChunkedTable.map_chunks`).
+
+        Like a stream, an empty table has no chunk, so ``fn`` is not
+        called and the table is returned as is.
+        """
+        return fn(self) if self._length else self
 
     @property
     def row_nbytes(self) -> float:
@@ -229,9 +233,12 @@ class Table:
         """Return rows where the boolean ``mask`` is True.
 
         ``mask`` may be a boolean array or a callable applied to the
-        table that returns one.
+        table that returns one (not called on an empty table, which has
+        no rows to keep).
         """
         if callable(mask):
+            if not self._length:
+                return self
             mask = mask(self)
         mask = np.asarray(mask)
         if mask.dtype != bool:

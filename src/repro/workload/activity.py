@@ -23,6 +23,7 @@ Structure per job:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,6 +45,32 @@ class PhaseSchedule:
         self.boundaries = boundaries
         self.starts_active = bool(starts_active)
         self.duration_s = float(duration_s)
+
+    def _edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(starts, ends, is_active)`` arrays, zero-length intervals dropped."""
+        edges = np.concatenate(([0.0], self.boundaries, [self.duration_s]))
+        starts, ends = edges[:-1], edges[1:]
+        # intervals alternate, so even-numbered ones share the first state
+        is_active = (np.arange(starts.size) % 2 == 0) == self.starts_active
+        keep = ends > starts
+        return starts[keep], ends[keep], is_active[keep]
+
+    @cached_property
+    def active_spans(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(starts, ends)`` of the active intervals, as arrays.
+
+        Built once, on first use, from the three constructor fields; it
+        stays out of the pickled state (see :meth:`__getstate__`).
+        """
+        starts, ends, is_active = self._edges()
+        return starts[is_active], ends[is_active]
+
+    def __getstate__(self) -> dict:
+        return {
+            "boundaries": self.boundaries,
+            "starts_active": self.starts_active,
+            "duration_s": self.duration_s,
+        }
 
     @classmethod
     def always(cls, duration_s: float, active: bool) -> "PhaseSchedule":
@@ -123,17 +150,12 @@ class PhaseSchedule:
 
     def intervals(self) -> list[tuple[float, float, bool]]:
         """``(start, end, is_active)`` covering the whole run."""
-        edges = np.concatenate(([0.0], self.boundaries, [self.duration_s]))
-        out = []
-        active = self.starts_active
-        for a, b in zip(edges[:-1], edges[1:]):
-            if b > a:
-                out.append((float(a), float(b), active))
-            active = not active
-        return out
+        return list(zip(*(edge.tolist() for edge in self._edges())))
 
     def active_time_s(self) -> float:
-        return sum(b - a for a, b, active in self.intervals() if active)
+        """Total active seconds, summed left to right (not pairwise)."""
+        starts, ends = self.active_spans
+        return float(np.cumsum(ends - starts)[-1]) if starts.size else 0.0
 
     def active_fraction(self) -> float:
         if self.duration_s <= 0:
@@ -230,14 +252,14 @@ def build_metric_process(
     frequencies = np.exp(rng.uniform(np.log(1.0 / 600.0), np.log(1.0 / 5.0), num_harmonics))
     phases = rng.uniform(0.0, 2.0 * np.pi, num_harmonics)
 
-    active_intervals = [(a, b) for a, b, act in schedule.intervals() if act]
+    starts, ends = schedule.active_spans
     windows = []
-    if active_intervals and burst_level > level and num_bursts > 0:
-        lengths = np.asarray([b - a for a, b in active_intervals])
+    if starts.size and burst_level > level and num_bursts > 0:
+        lengths = ends - starts
         probs = lengths / lengths.sum()
         for _ in range(num_bursts):
-            idx = int(rng.choice(len(active_intervals), p=probs))
-            a, b = active_intervals[idx]
+            idx = int(rng.choice(starts.size, p=probs))
+            a, b = float(starts[idx]), float(ends[idx])
             width = min(rng.lognormal(np.log(burst_width_median_s), 0.8), b - a)
             start = rng.uniform(a, max(b - width, a))
             windows.append((start, start + width))

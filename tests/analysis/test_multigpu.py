@@ -114,6 +114,18 @@ class TestMultiGpuCov:
         )
         assert idle_gpu_fraction(results) == pytest.approx(2.0 / 3.0)
 
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 64])
+    def test_chunking_is_bit_identical(self, chunk_rows):
+        rng = np.random.default_rng(chunk_rows)
+        spec = {
+            job_id: list(rng.choice([0.0, 5.0, 40.0, 77.5], size=rng.integers(1, 6)))
+            for job_id in range(40)
+        }
+        per_gpu = per_gpu_rows(spec)
+        expected = multi_gpu_cov(per_gpu)
+        assert len(expected) == sum(len(sms) > 1 for sms in spec.values())
+        assert repr(multi_gpu_cov(per_gpu.to_chunked(chunk_rows))) == repr(expected)
+
     def test_empty_rejected(self):
         with pytest.raises(AnalysisError):
             multi_gpu_cov(Table.empty(["job_id"]))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from repro.analysis.stats import (
+    _student_t_sf,
     coefficient_of_variation,
     ecdf,
     gini,
@@ -91,7 +92,15 @@ class TestSpearman:
         rho, p = spearman(x, y)
         expected = scipy_stats.spearmanr(x, y)
         assert rho == pytest.approx(expected.statistic, abs=1e-9)
-        assert p == pytest.approx(expected.pvalue, rel=1e-6)
+        assert p == pytest.approx(expected.pvalue, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [3, 4, 12, 2000])
+    def test_p_value_matches_scipy_at_any_size(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        y = 0.3 * x + rng.normal(size=n)
+        _, p = spearman(x, y)
+        assert p == pytest.approx(scipy_stats.spearmanr(x, y).pvalue, rel=1e-9)
 
     def test_handles_ties_like_scipy(self):
         x = [1, 1, 2, 2, 3, 3, 4]
@@ -99,6 +108,14 @@ class TestSpearman:
         rho, _ = spearman(x, y)
         expected = scipy_stats.spearmanr(x, y)
         assert rho == pytest.approx(expected.statistic, abs=1e-9)
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 5, 10, 28, 100, 1000, 10_000])
+    def test_t_tail_matches_scipy(self, df):
+        ts = np.concatenate((np.linspace(0.0, 5.0, 101), np.linspace(5.0, 100.0, 96)))
+        ours = np.asarray([_student_t_sf(float(t), df) for t in ts])
+        # atol only admits scipy's underflow to 0 where the tail is denormal
+        np.testing.assert_allclose(ours, scipy_stats.t.sf(ts, df), rtol=1e-9, atol=1e-300)
+        assert _student_t_sf(-2.0, df) == 1.0 - _student_t_sf(2.0, df)
 
     def test_nan_pairs_dropped(self):
         rho, _ = spearman([1, 2, 3, float("nan")], [1, 2, 3, 100])

@@ -11,12 +11,18 @@ Table once while only verifying a stream's order.
 import numpy as np
 import pytest
 
-from repro.analysis.lifecycle import class_utilization_boxes, lifecycle_breakdown
-from repro.analysis.multigpu import SIZE_BUCKETS, SIZE_LABELS, wait_by_size
+from repro.analysis.lifecycle import (
+    class_utilization_boxes,
+    lifecycle_breakdown,
+    user_lifecycle_composition,
+)
+from repro.analysis.multigpu import SIZE_BUCKETS, SIZE_LABELS, user_gpu_breadth, wait_by_size
 from repro.analysis.power import power_headroom
 from repro.analysis.queueing import workload_parameters
 from repro.analysis.stats import column_ecdf, ecdf
 from repro.analysis.streaming import new_sketch, ordered_chunks
+from repro.analysis.timeline import daily_gpu_hours_from_jobs
+from repro.analysis.users import user_table
 from repro.errors import AnalysisError
 from repro.frame import DEFAULT_SKETCH_K, QuantileSketch, Table
 from repro.slurm.job import LIFECYCLE_CLASSES
@@ -122,6 +128,16 @@ class TestTableStreamProtocol:
     def test_map_chunks_applies_once(self):
         jobs = _jobs(10)
         assert jobs.map_chunks(lambda t: t.head(3), preserves_rows=False).num_rows == 3
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [user_table, user_gpu_breadth, user_lifecycle_composition, daily_gpu_hours_from_jobs],
+)
+def test_empty_table_without_columns_is_an_analysis_error(kernel):
+    # no rows means no chunk, so no kernel looks for a column
+    with pytest.raises(AnalysisError):
+        kernel(Table.from_rows([]))
 
 
 class TestNewSketch:

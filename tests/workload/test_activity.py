@@ -1,5 +1,7 @@
 """Tests for phase schedules and activity models."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,6 +77,67 @@ class TestPhaseSchedule:
     def test_negative_duration_rejected(self, rng):
         with pytest.raises(WorkloadError):
             PhaseSchedule.generate(rng, -1.0, 0.5, 60.0, 1.0, 1.0)
+
+
+def loop_intervals(schedule):
+    """The per-edge reference: walk the edges, drop zero-length spans."""
+    edges = np.concatenate(([0.0], schedule.boundaries, [schedule.duration_s]))
+    out = []
+    active = schedule.starts_active
+    for a, b in zip(edges[:-1], edges[1:]):
+        if b > a:
+            out.append((float(a), float(b), active))
+        active = not active
+    return out
+
+
+def schedules_under_test():
+    rng = np.random.default_rng(5)
+    out = [
+        PhaseSchedule.always(100.0, active=True),
+        PhaseSchedule.always(100.0, active=False),
+        # zero duration: the single interval has zero length and is dropped
+        PhaseSchedule.always(0.0, active=True),
+        PhaseSchedule.generate(rng, 0.0, 0.5, 60.0, 1.0, 1.0),
+    ]
+    for _ in range(40):
+        out.append(
+            PhaseSchedule.generate(
+                rng,
+                float(rng.uniform(1.0, 5e4)),
+                float(rng.uniform(0.01, 0.99)),
+                float(rng.uniform(1.0, 600.0)),
+                float(rng.uniform(0.1, 3.0)),
+                float(rng.uniform(0.1, 3.0)),
+            )
+        )
+    return out
+
+
+class TestScheduleArraysMatchLoop:
+    @pytest.mark.parametrize("schedule", schedules_under_test())
+    def test_intervals(self, schedule):
+        got = schedule.intervals()
+        expected = loop_intervals(schedule)
+        assert got == expected
+        assert all([type(v) for v in row] == [float, float, bool] for row in got)
+
+    @pytest.mark.parametrize("schedule", schedules_under_test())
+    def test_active_time_is_left_to_right_sum(self, schedule):
+        expected = sum(b - a for a, b, active in loop_intervals(schedule) if active)
+        assert schedule.active_time_s() == expected
+
+    def test_zero_length_interval_dropped(self):
+        assert PhaseSchedule.always(0.0, active=True).intervals() == []
+        assert PhaseSchedule.always(0.0, active=True).active_time_s() == 0.0
+
+    def test_pickled_state_is_the_constructor_fields(self):
+        schedule = schedules_under_test()[-1]
+        expected = schedule.intervals()
+        assert schedule.active_time_s() > 0  # builds the cached spans first
+        assert list(schedule.__getstate__()) == ["boundaries", "starts_active", "duration_s"]
+        clone = pickle.loads(pickle.dumps(schedule))
+        assert clone.intervals() == expected
 
 
 class TestMetricProcess:
